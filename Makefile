@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmt vet test race lint-fixtures analysis-smoke bench telemetry-smoke commit-smoke compile-smoke serve-smoke trace-smoke mvcc-smoke
+.PHONY: check fmt vet test race lint-fixtures analysis-smoke bench telemetry-smoke commit-smoke compile-smoke serve-smoke trace-smoke mvcc-smoke bench-check
 
 ## check: everything CI runs — formatting, vet, build+tests, the race
 ## detector over the concurrency-sensitive packages, the sppc -lint
@@ -11,8 +11,9 @@ GO ?= go
 ## tests plus a tiny run of the compile experiment, the KV service
 ## suite plus a tiny run of the serve experiment, the request-
 ## tracing smoke test plus a sampled run of the serve experiment,
-## and the MVCC snapshot suite plus a tiny run of the scan experiment.
-check: fmt vet test race lint-fixtures analysis-smoke telemetry-smoke commit-smoke compile-smoke serve-smoke trace-smoke mvcc-smoke
+## the MVCC snapshot suite plus a tiny run of the scan experiment,
+## and vet plus tests of the nested servebench module.
+check: fmt vet test race lint-fixtures analysis-smoke telemetry-smoke commit-smoke compile-smoke serve-smoke trace-smoke mvcc-smoke bench-check
 
 fmt:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
@@ -108,13 +109,22 @@ trace-smoke:
 
 ## mvcc-smoke: the MVCC snapshot contract — frozen-under-storm property
 ## test, epoch-reclaim leak check, differential fault verdicts on the
-## snapshot path, mid-storm crash recovery, scan oracle, end-to-end
-## OpScan — plus a tiny run of the scan experiment asserting the
-## snapshot reader keeps a non-zero read rate under the write storm.
+## snapshot path, mid-storm crash recovery, scan oracle in both read
+## modes across a mode-switching reopen, the concurrent mixed workload
+## in both read modes, end-to-end OpScan — plus a tiny run of the scan
+## experiment asserting the snapshot reader keeps a non-zero read rate
+## under the write storm.
 mvcc-smoke:
-	$(GO) test -run 'TestSnapshot|TestEpochReclaim|TestScan|TestCrashRecoveryMidStorm|TestRehashMaint' ./internal/kvstore ./internal/server ./internal/wire -count=1
+	$(GO) test -run 'TestSnapshot|TestEpochReclaim|TestScan|TestCrashRecoveryMidStorm|TestRehashMaint|TestConcurrentMixedWorkload' ./internal/kvstore ./internal/server ./internal/wire -count=1
 	@out="$$($(GO) run ./cmd/sppbench -exp scan -scale 0.002)"; \
 	echo "$$out"; \
 	echo "$$out" | awk '$$1=="mvcc" && $$2=="storm" { found=1; if ($$3+0 <= 0) bad=1 } \
 		END { exit (found && !bad) ? 0 : 1 }' \
 		|| { echo "mvcc/storm row missing or snapshot reads stalled under the write storm"; exit 1; }
+
+## bench-check: the servebench benchmark is a nested module, so the
+## root ./... lists none of its packages; vet and test it on its own
+## so an API change it depends on cannot break it unnoticed.
+bench-check:
+	$(GO) -C servebench vet ./...
+	$(GO) -C servebench test ./...

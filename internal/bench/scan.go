@@ -17,10 +17,13 @@ import (
 // a writer storming puts over the same key space. The mvcc rows use
 // the lock-free snapshot path; the no-mvcc rows are the ablation
 // baseline, where the same reader degrades to per-shard RWMutex reads
-// that queue behind every writer transaction. Under MVCC the storm row
-// holds near the machine's CPU-share bound; under the lock baseline
-// the writer's lock hold times (an entire transaction each) collapse
-// it well below that.
+// of the latest root that queue behind every writer transaction. Both
+// modes write through the same copy-on-write path, so the write column
+// measures COW puts in both (under no-mvcc nothing is pinned, and each
+// put frees its superseded versions right away). Under MVCC the storm
+// row holds near the machine's CPU-share bound; under the lock
+// baseline the writer's lock hold times (an entire transaction each)
+// collapse it well below that.
 func ScanBench(cfg Config) (Table, error) {
 	cfg = cfg.withDefaults()
 	keySpace := cfg.scaled(100_000)
@@ -44,7 +47,7 @@ func ScanBench(cfg Config) (Table, error) {
 		Notes: []string{
 			fmt.Sprintf("reader: batches of %d snapshot gets + one %d-key range scan per pinned snapshot", getsPerBatch, scanWidth),
 			fmt.Sprintf("storm: %d writer goroutines put over the same key space as fast as they can", stormWriters),
-			"mvcc = snapshot path (zero read-side locks); no-mvcc = per-shard RWMutex ablation (-no-mvcc)",
+			"mvcc = snapshot path (zero read-side locks); no-mvcc = per-shard RWMutex read ablation (-no-mvcc); writes copy on write in both",
 			"on an N-core host the storm ceiling for a never-blocking reader is its CPU share, not the idle figure",
 			"p99 get latency is the lock-free claim made visible even on one core: snapshot reads never park behind a writer's transaction-length lock hold",
 		},

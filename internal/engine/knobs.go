@@ -41,11 +41,11 @@ type Knobs struct {
 	// instructions instead of through closure-compiled functions (the
 	// interpreter is the reference semantics).
 	NoCompile bool
-	// NoMVCC turns off multi-version snapshot isolation in the
-	// kvstore: reads take the per-shard RWMutex like writers instead of
-	// running lock-free against published copy-on-write roots, and
-	// Snapshot falls back to locked reads. The ablation baseline for
-	// -exp scan.
+	// NoMVCC turns off multi-version snapshot isolation for kvstore
+	// reads: Get and Scan take the per-shard RWMutex and read the
+	// latest copy-on-write root instead of running lock-free against a
+	// pinned one, and Snapshot pins nothing. Writes are unchanged. The
+	// ablation baseline for -exp scan.
 	NoMVCC bool
 	// Telemetry turns on the global metrics registry; process-wide
 	// once set (see internal/telemetry).
@@ -120,7 +120,7 @@ func RegisterFlags(fs *flag.FlagSet) *Knobs {
 	fs.BoolVar(&k.NoCompile, knobFlags["NoCompile"], false,
 		"disable closure compilation; run every function in the reference interpreter")
 	fs.BoolVar(&k.NoMVCC, knobFlags["NoMVCC"], false,
-		"disable MVCC snapshot isolation; kvstore reads take shard locks")
+		"disable MVCC snapshot reads; kvstore reads take shard read locks (writes unchanged)")
 	fs.BoolVar(&k.Telemetry, knobFlags["Telemetry"], false,
 		"enable the telemetry metrics registry")
 	fs.BoolVar(&k.FlightRecorder, knobFlags["FlightRecorder"], false,

@@ -4,13 +4,15 @@
 // volatile per-shard locks rebuilt on open and all persistent updates
 // running inside transactions.
 //
-// By default the store runs with MVCC snapshot isolation (DESIGN.md
-// §17): writers copy-on-write the chains they touch and publish
-// immutable per-shard roots, readers pin an epoch and traverse with no
-// locks, and superseded versions are reclaimed through persistent
-// retire chains once the last pinning reader moves past them. The
-// NoMVCC knob restores the plain locked read path as the ablation
-// baseline.
+// Every write copies on write (DESIGN.md §17): Put, Delete and rehash
+// copy the chains they touch and publish immutable per-shard roots,
+// and superseded versions are reclaimed through persistent retire
+// chains once no pinned reader can reach them. By default reads run
+// with MVCC snapshot isolation: they pin an epoch and traverse the
+// published root with no locks. The NoMVCC knob changes reads only,
+// as the ablation baseline: Get and Scan take the shard's read lock
+// and walk the latest root, and snapshots pin nothing, so writers free
+// superseded versions right after each write.
 //
 // Like every application in this repository, all PM accesses go
 // through the hooks.Runtime instrumentation surface, so the store runs
@@ -36,8 +38,9 @@ type Store struct {
 	shards  []shard
 	dir     pmemobj.Oid // shard directory: nshards embedded oids
 
-	// MVCC state (unused when the pool runs NoMVCC): the global
-	// version epoch, the pinned-epoch refcounts gating reclamation, and
+	// mvcc selects the read policy (lock-free pinned reads, or reads
+	// under the shard read lock). The rest is the version state: the
+	// global epoch, the pinned-epoch refcounts gating reclamation, and
 	// minPin caching the smallest pinned epoch (^0 when none) so
 	// writers check reclaim eligibility with one atomic load.
 	mvcc   bool
@@ -51,8 +54,8 @@ type shard struct {
 	mu  sync.RWMutex
 	hdr pmemobj.Oid
 
-	// root is the published immutable view (MVCC only): writers swap
-	// in a fresh shardRoot per mutation, readers load it lock-free.
+	// root is the published immutable view: writers swap in a fresh
+	// shardRoot per mutation, readers load it (lock-free under MVCC).
 	root atomic.Pointer[shardRoot]
 	// retired queues this shard's superseded-version batches, oldest
 	// first, each backed by a persistent retire node; retireTail is
@@ -151,18 +154,15 @@ func open(rt hooks.Runtime, cfg config) (*Store, error) {
 	// and no volatile snapshot survives a restart, so every chain
 	// drains before the store serves.
 	for i := range s.shards {
-		if err := s.drainChain(&s.shards[i]); err != nil {
+		sh := &s.shards[i]
+		if err := s.drainChain(sh); err != nil {
 			return nil, err
 		}
-	}
-	if s.mvcc {
-		for i := range s.shards {
-			r, err := s.loadRoot(c, &s.shards[i])
-			if err != nil {
-				return nil, err
-			}
-			s.shards[i].root.Store(r)
+		r, err := s.loadRoot(c, sh)
+		if err != nil {
+			return nil, err
 		}
+		sh.root.Store(r)
 	}
 	return s, nil
 }
@@ -226,50 +226,21 @@ func (s *Store) keyEqual(c *ctx, ep uint64, key []byte) bool {
 
 // Get returns the value stored under key. Under MVCC the lookup pins
 // the current epoch and walks the shard's published root with no shard
-// lock; under NoMVCC it holds the shard's read lock.
+// lock; under NoMVCC it walks the same root under the shard's read
+// lock, so it queues behind writers.
 func (s *Store) Get(key []byte) ([]byte, bool, error) {
-	if s.mvcc {
-		h := hashKey(key)
-		sh := s.shardFor(h)
-		e := s.pin()
-		c := newCtx(s.rt)
-		val, ok, err := s.getAt(c, sh.root.Load(), h, key)
-		s.unpin(e)
-		return val, ok, err
-	}
-	return s.getLocked(key)
-}
-
-// getLocked is the NoMVCC read path: the shard read lock excludes
-// writers for the duration of the chain walk.
-func (s *Store) getLocked(key []byte) ([]byte, bool, error) {
 	h := hashKey(key)
 	sh := s.shardFor(h)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-
 	c := newCtx(s.rt)
-	hp := c.Direct(sh.hdr)
-	n := c.Load(hp, shNBuckets)
-	if n == 0 {
-		return nil, false, c.Take()
+	if !s.mvcc {
+		sh.mu.RLock()
+		defer sh.mu.RUnlock()
+		return s.getAt(c, sh.root.Load(), h, key)
 	}
-	buckets := c.LoadOid(hp, shBuckets)
-	entry := c.LoadOid(c.Direct(buckets), int64(h%n)*s.oidSize)
-	for !entry.IsNull() && c.Err() == nil {
-		ep := c.Direct(entry)
-		if s.keyEqual(c, ep, key) {
-			vlen := c.Load(ep, enVLen)
-			val, err := hooks.LoadBytes(c.RT, c.RT.Gep(ep, s.entryDataOff()+int64(len(key))), vlen)
-			if err != nil {
-				c.Fail(err)
-				break
-			}
-			return val, true, c.Take()
-		}
-		entry = c.LoadOid(ep, enNext)
-	}
-	return nil, false, c.Take()
+	e := s.pin()
+	val, ok, err := s.getAt(c, sh.root.Load(), h, key)
+	s.unpin(e)
+	return val, ok, err
 }
 
 // Put stores value under key, replacing any existing value.
@@ -279,225 +250,169 @@ func (s *Store) Put(key, value []byte) error { return s.PutTraced(nil, key, valu
 // its begin/commit/flush/fence stage durations to tr, and any rehash
 // or version reclamation the write triggers lands in tr's maint
 // phase. Nil tr is Put.
+//
+// The write copies on write: the touched chain prefix is copied, the
+// new root is published atomically, and superseded versions retire
+// for reclamation once no pinned snapshot can reach them.
 func (s *Store) PutTraced(tr *trace.Req, key, value []byte) error {
-	if s.mvcc {
-		return s.putMVCC(tr, key, value)
-	}
 	h := hashKey(key)
 	sh := s.shardFor(h)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 
+	root := sh.root.Load()
+	b := h % root.nbuckets
 	c := newCtx(s.rt)
 	c.Trace = tr
+
+	// Probe outside the transaction; the shard lock keeps the chain
+	// stable between probe and commit.
+	prefix, match, rest := s.findChain(c, root, b, key)
+	if err := c.Take(); err != nil {
+		return err
+	}
+	var newHead pmemobj.Oid
+	var nodes []pmemobj.Oid
+	delta := int64(1)
 	err := c.Run(func(tx *pmemobj.Tx) {
-		hp := c.Direct(sh.hdr)
-		n := c.Load(hp, shNBuckets)
-		buckets := c.LoadOid(hp, shBuckets)
-		field := int64(h%n) * s.oidSize
-		bp := c.Direct(buckets)
-
-		// Replace in place when the key exists and the value fits the
-		// same allocation; otherwise unlink and reinsert.
-		prev := pmemobj.OidNull
-		entry := c.LoadOid(bp, field)
-		for !entry.IsNull() && c.Err() == nil {
-			ep := c.Direct(entry)
-			if s.keyEqual(c, ep, key) {
-				if c.Load(ep, enVLen) == uint64(len(value)) {
-					c.Snapshot(tx, entry, s.entrySize(len(key), len(value)))
-					ep = c.Direct(entry)
-					if err := hooks.StoreBytes(c.RT, c.RT.Gep(ep, s.entryDataOff()+int64(len(key))), value); err != nil {
-						c.Fail(err)
-					}
-					return
-				}
-				next := c.LoadOid(ep, enNext)
-				if prev.IsNull() {
-					c.SnapshotField(tx, buckets, field, uint64(s.oidSize))
-					c.StoreOid(c.Direct(buckets), field, next)
-				} else {
-					c.SnapshotField(tx, prev, enNext, uint64(s.oidSize))
-					c.StoreOid(c.Direct(prev), enNext, next)
-				}
-				if err := c.RT.TxFree(tx, entry); err != nil {
-					c.Fail(err)
-					return
-				}
-				c.SnapshotField(tx, sh.hdr, shCount, 8)
-				nhp := c.Direct(sh.hdr)
-				c.Store(nhp, shCount, c.Load(nhp, shCount)-1)
-				break
-			}
-			prev = entry
-			entry = c.LoadOid(ep, enNext)
+		var retired []pmemobj.Oid
+		if match.IsNull() {
+			// Insert at head: nothing to copy, nothing to retire.
+			newHead = s.newEntry(c, tx, key, value, root.head(b))
+		} else {
+			delta = 0
+			fresh := s.newEntry(c, tx, key, value, rest)
+			newHead = s.copyChain(c, tx, prefix, fresh)
+			retired = append(append(retired, prefix...), match)
 		}
-		if c.Err() != nil {
-			return
-		}
-
-		fresh, err := c.RT.TxAlloc(tx, s.entrySize(len(key), len(value)))
-		if err != nil {
-			c.Fail(err)
-			return
-		}
-		fp := c.Direct(fresh)
-		c.Store(fp, enKLen, uint64(len(key)))
-		c.Store(fp, enVLen, uint64(len(value)))
-		c.StoreOid(fp, enNext, c.LoadOid(c.Direct(buckets), field))
-		if err := hooks.StoreBytes(c.RT, c.RT.Gep(fp, s.entryDataOff()), key); err != nil {
-			c.Fail(err)
-			return
-		}
-		if err := hooks.StoreBytes(c.RT, c.RT.Gep(fp, s.entryDataOff()+int64(len(key))), value); err != nil {
-			c.Fail(err)
-			return
-		}
-		c.SnapshotField(tx, buckets, field, uint64(s.oidSize))
-		c.StoreOid(c.Direct(buckets), field, fresh)
-		c.SnapshotField(tx, sh.hdr, shCount, 8)
-		nhp := c.Direct(sh.hdr)
-		c.Store(nhp, shCount, c.Load(nhp, shCount)+1)
+		nodes = s.persistPublish(c, tx, sh, b, newHead, delta, retired)
 	})
 	if err != nil {
 		return err
 	}
-	return s.maybeRehash(sh, tr)
-}
-
-// maybeRehash grows a shard's bucket array when its load factor
-// exceeds one (NoMVCC path: entries are relinked in place). Caller
-// holds the shard lock. The work attributes to the triggering
-// request's maint phase.
-func (s *Store) maybeRehash(sh *shard, tr *trace.Req) error {
-	c := newCtx(s.rt)
-	c.Trace = tr
-	hp := c.Direct(sh.hdr)
-	count := c.Load(hp, shCount)
-	n := c.Load(hp, shNBuckets)
-	if err := c.Take(); err != nil {
+	s.publish(sh, root.withHead(b, newHead, delta), nodes)
+	if err := s.maybeRehash(sh, tr); err != nil {
 		return err
 	}
-	if count <= n {
+	return s.drainShard(sh, c, tr)
+}
+
+// maybeRehash doubles the bucket array when the load factor exceeds
+// one. Every entry is copied — published roots may reference any old
+// entry, and relinking would mutate its next field — and the old
+// population retires as one batch. The old bucket array is freed
+// in-transaction: readers walk the volatile roots, never the
+// persistent bucket array. Caller holds sh.mu. The work attributes to
+// the triggering request's maint phase.
+func (s *Store) maybeRehash(sh *shard, tr *trace.Req) error {
+	root := sh.root.Load()
+	if root.count <= root.nbuckets {
 		return nil
 	}
 	span := tr.Span(trace.PhaseMaint)
 	defer span.End()
-	newN := n * 2
-	return c.Run(func(tx *pmemobj.Tx) {
-		oldBuckets := c.LoadOid(hp, shBuckets)
+
+	newN := root.nbuckets * 2
+	c := newCtx(s.rt)
+	c.Trace = tr
+	newRoot := newShardRoot(newN, root.count)
+	var nodes []pmemobj.Oid
+	err := c.Run(func(tx *pmemobj.Tx) {
 		fresh, err := s.rt.TxAlloc(tx, newN*uint64(s.oidSize))
 		if err != nil {
 			c.Fail(err)
 			return
 		}
-		op := c.Direct(oldBuckets)
-		np := c.Direct(fresh)
-		for i := uint64(0); i < n && c.Err() == nil; i++ {
-			entry := c.LoadOid(op, int64(i)*s.oidSize)
+		var retired []pmemobj.Oid
+		for bkt := uint64(0); bkt < root.nbuckets && c.Err() == nil; bkt++ {
+			entry := root.head(bkt)
 			for !entry.IsNull() && c.Err() == nil {
 				ep := c.Direct(entry)
-				next := c.LoadOid(ep, enNext)
 				klen := c.Load(ep, enKLen)
-				kb, err := hooks.LoadBytes(c.RT, c.RT.Gep(ep, s.entryDataOff()), klen)
-				if err != nil {
-					c.Fail(err)
+				kb := c.LoadBytes(ep, s.entryDataOff(), klen)
+				if c.Err() != nil {
 					return
 				}
-				field := int64(hashKey(kb)%newN) * s.oidSize
-				c.SnapshotField(tx, entry, enNext, uint64(s.oidSize))
-				ep = c.Direct(entry)
-				c.StoreOid(ep, enNext, c.LoadOid(np, field))
-				c.StoreOid(np, field, entry)
-				entry = next
+				nb := hashKey(kb) % newN
+				cp := s.copyEntry(c, tx, entry, newRoot.head(nb))
+				newRoot.setHead(nb, cp)
+				retired = append(retired, entry)
+				entry = c.LoadOid(ep, enNext)
 			}
 		}
 		if c.Err() != nil {
 			return
 		}
+		// The new heads go into the fresh persistent bucket array —
+		// a fresh allocation, so no snapshots are needed for it.
+		np := c.Direct(fresh)
+		for bkt := uint64(0); bkt < newN && c.Err() == nil; bkt++ {
+			if h := newRoot.head(bkt); !h.IsNull() {
+				c.StoreOid(np, int64(bkt)*s.oidSize, h)
+			}
+		}
+		hp := c.Direct(sh.hdr)
+		oldBuckets := c.LoadOid(hp, shBuckets)
 		c.SnapshotField(tx, sh.hdr, shNBuckets, 8+uint64(s.oidSize))
-		nhp := c.Direct(sh.hdr)
-		c.Store(nhp, shNBuckets, newN)
-		c.StoreOid(nhp, shBuckets, fresh)
+		hp = c.Direct(sh.hdr)
+		c.Store(hp, shNBuckets, newN)
+		c.StoreOid(hp, shBuckets, fresh)
 		if err := c.RT.TxFree(tx, oldBuckets); err != nil {
 			c.Fail(err)
+			return
 		}
+		nodes = s.appendRetire(c, tx, sh, retired)
 	})
+	if err != nil {
+		return err
+	}
+	s.publish(sh, newRoot, nodes)
+	return nil
 }
 
 // Delete removes key, reporting whether it was present.
 func (s *Store) Delete(key []byte) (bool, error) { return s.DeleteTraced(nil, key) }
 
 // DeleteTraced is Delete attributing transaction stage durations to a
-// traced request. Nil tr is Delete.
+// traced request. Nil tr is Delete. Like Put it copies the chain
+// prefix on write and retires the superseded entries.
 func (s *Store) DeleteTraced(tr *trace.Req, key []byte) (bool, error) {
-	if s.mvcc {
-		return s.deleteMVCC(tr, key)
-	}
 	h := hashKey(key)
 	sh := s.shardFor(h)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 
+	root := sh.root.Load()
+	b := h % root.nbuckets
 	c := newCtx(s.rt)
 	c.Trace = tr
-	removed := false
+
+	prefix, match, rest := s.findChain(c, root, b, key)
+	if err := c.Take(); err != nil {
+		return false, err
+	}
+	if match.IsNull() {
+		return false, nil
+	}
+	var newHead pmemobj.Oid
+	var nodes []pmemobj.Oid
 	err := c.Run(func(tx *pmemobj.Tx) {
-		hp := c.Direct(sh.hdr)
-		n := c.Load(hp, shNBuckets)
-		buckets := c.LoadOid(hp, shBuckets)
-		field := int64(h%n) * s.oidSize
-		prev := pmemobj.OidNull
-		entry := c.LoadOid(c.Direct(buckets), field)
-		for !entry.IsNull() && c.Err() == nil {
-			ep := c.Direct(entry)
-			if s.keyEqual(c, ep, key) {
-				next := c.LoadOid(ep, enNext)
-				if prev.IsNull() {
-					c.SnapshotField(tx, buckets, field, uint64(s.oidSize))
-					c.StoreOid(c.Direct(buckets), field, next)
-				} else {
-					c.SnapshotField(tx, prev, enNext, uint64(s.oidSize))
-					c.StoreOid(c.Direct(prev), enNext, next)
-				}
-				if err := c.RT.TxFree(tx, entry); err != nil {
-					c.Fail(err)
-					return
-				}
-				c.SnapshotField(tx, sh.hdr, shCount, 8)
-				nhp := c.Direct(sh.hdr)
-				c.Store(nhp, shCount, c.Load(nhp, shCount)-1)
-				removed = true
-				return
-			}
-			prev = entry
-			entry = c.LoadOid(ep, enNext)
-		}
+		newHead = s.copyChain(c, tx, prefix, rest)
+		nodes = s.persistPublish(c, tx, sh, b, newHead, -1, append(prefix, match))
 	})
-	return removed, err
+	if err != nil {
+		return false, err
+	}
+	s.publish(sh, root.withHead(b, newHead, -1), nodes)
+	return true, s.drainShard(sh, c, tr)
 }
 
-// Count returns the total number of keys. Under MVCC the counts come
-// straight from the published roots — no locks, no PM reads.
+// Count returns the total number of keys, summed from the published
+// roots — no locks, no PM reads.
 func (s *Store) Count() (uint64, error) {
-	if s.mvcc {
-		var total uint64
-		for i := range s.shards {
-			total += s.shards[i].root.Load().count
-		}
-		return total, nil
-	}
 	var total uint64
 	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.RLock()
-		c := newCtx(s.rt)
-		total += c.Load(c.Direct(sh.hdr), shCount)
-		err := c.Take()
-		sh.mu.RUnlock()
-		if err != nil {
-			return 0, err
-		}
+		total += s.shards[i].root.Load().count
 	}
 	return total, nil
 }

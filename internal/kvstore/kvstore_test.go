@@ -1,11 +1,13 @@
 package kvstore
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
 
+	"repro/internal/engine"
 	"repro/internal/hooks"
 	"repro/internal/pmem"
 	"repro/internal/pmemcheck"
@@ -166,42 +168,73 @@ func TestRehashGrowsBuckets(t *testing.T) {
 	}
 }
 
+// TestConcurrentMixedWorkload races puts, deletes, gets and scans in
+// both read modes: lock-free pinned reads under MVCC, and read-locked
+// reads under -no-mvcc, where writers free superseded versions as soon
+// as they retire. Run it under -race.
 func TestConcurrentMixedWorkload(t *testing.T) {
 	for _, kind := range []variant.Kind{variant.PMDK, variant.SPP} {
 		t.Run(string(kind), func(t *testing.T) {
-			s, _ := newStore(t, kind)
-			const goroutines = 8
-			var wg sync.WaitGroup
-			for g := 0; g < goroutines; g++ {
-				wg.Add(1)
-				go func(g int) {
-					defer wg.Done()
-					rng := rand.New(rand.NewSource(int64(g)))
-					for i := 0; i < 300; i++ {
-						k := []byte(fmt.Sprintf("g%d-k%03d", g, rng.Intn(100)))
-						switch rng.Intn(4) {
-						case 0, 1:
-							if err := s.Put(k, []byte(fmt.Sprintf("v%d", i))); err != nil {
-								t.Errorf("Put: %v", err)
-								return
-							}
-						case 2:
-							if _, _, err := s.Get(k); err != nil {
-								t.Errorf("Get: %v", err)
-								return
-							}
-						case 3:
-							if _, err := s.Delete(k); err != nil {
-								t.Errorf("Delete: %v", err)
-								return
-							}
-						}
-					}
-				}(g)
+			for _, mode := range []struct {
+				name   string
+				noMVCC bool
+			}{{"mvcc", false}, {"no-mvcc", true}} {
+				t.Run(mode.name, func(t *testing.T) {
+					s, _ := newStoreKnobs(t, kind, engine.Knobs{NoMVCC: mode.noMVCC})
+					runMixedWorkload(t, s)
+				})
 			}
-			wg.Wait()
 		})
 	}
+}
+
+func runMixedWorkload(t *testing.T, s *Store) {
+	const goroutines = 8
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(g)))
+			for i := 0; i < 300; i++ {
+				k := []byte(fmt.Sprintf("g%d-k%03d", g, rng.Intn(100)))
+				switch rng.Intn(5) {
+				case 0, 1:
+					if err := s.Put(k, []byte(fmt.Sprintf("v%d", i))); err != nil {
+						t.Errorf("Put: %v", err)
+						return
+					}
+				case 2:
+					if _, _, err := s.Get(k); err != nil {
+						t.Errorf("Get: %v", err)
+						return
+					}
+				case 3:
+					if _, err := s.Delete(k); err != nil {
+						t.Errorf("Delete: %v", err)
+						return
+					}
+				case 4:
+					// Scan another goroutine's keys while it writes them.
+					lo := []byte(fmt.Sprintf("g%d-", (g+1)%goroutines))
+					hi := []byte(fmt.Sprintf("g%d.", (g+1)%goroutines))
+					var prev []byte
+					if err := s.Scan(lo, hi, func(k, v []byte) bool {
+						if !inRange(k, lo, hi) || bytes.Compare(k, prev) <= 0 || v[0] != 'v' {
+							t.Errorf("Scan visited %q=%q after %q", k, v, prev)
+							return false
+						}
+						prev = k
+						return true
+					}); err != nil {
+						t.Errorf("Scan: %v", err)
+						return
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }
 
 func TestPersistenceAcrossReopen(t *testing.T) {

@@ -7,16 +7,18 @@
 // shardRoot. Readers pin the global epoch, load roots with plain
 // atomic loads, and traverse with zero lock acquisitions; every entry
 // access still goes through the hooks.Runtime bounds checks, so SPP
-// verdicts on the snapshot path are identical to the locked path.
+// verdicts on the snapshot path are identical to a locked read.
 //
 // Superseded versions are retired, not freed: the transaction that
 // publishes the new persistent bucket head also appends a retire node
 // (a persistent list of the superseded oids) to the shard's retire
 // chain, so the supersede and the retire are atomic and a crash
 // between retire and reclaim cannot leak. A batch becomes reclaimable
-// once every pinned epoch is newer than the batch's epoch; open()
-// drains every chain before rebuilding the roots, because no volatile
-// snapshot survives a restart.
+// once every pinned epoch is newer than the batch's epoch (under
+// NoMVCC readers hold the shard read lock instead of pinning, so a
+// batch is reclaimable as soon as it retires); open() drains every
+// chain before rebuilding the roots, because no volatile snapshot
+// survives a restart.
 package kvstore
 
 import (
@@ -136,9 +138,9 @@ func (s *Store) unpin(e uint64) bool {
 	return none
 }
 
-// getAt runs Get against one immutable root, lock-free. Every entry
-// access goes through the instrumented accessor, so bounds and tag
-// checks fire exactly as on the locked path.
+// getAt runs Get against one immutable root. Every entry access goes
+// through the instrumented accessor, so bounds and tag checks fire on
+// every read path.
 func (s *Store) getAt(c *ctx, root *shardRoot, h uint64, key []byte) ([]byte, bool, error) {
 	entry := root.head(h % root.nbuckets)
 	for !entry.IsNull() && c.Err() == nil {
@@ -173,8 +175,9 @@ type Snap struct {
 }
 
 // Snapshot pins the current epoch and captures every shard's published
-// root. Under NoMVCC the returned Snap falls back to the locked read
-// path — the ablation baseline — so callers need no mode branch.
+// root. Under NoMVCC the returned Snap pins nothing and falls back to
+// the Store's read-locked Get and Scan on the latest roots — the
+// ablation baseline — so callers need no mode branch.
 func (s *Store) Snapshot() *Snap {
 	sn := &Snap{s: s}
 	if !s.mvcc {
@@ -369,156 +372,6 @@ func (s *Store) publish(sh *shard, root *shardRoot, nodes []pmemobj.Oid) {
 	s.epoch.Add(1)
 }
 
-// putMVCC is Put under snapshot isolation: copy-on-write of the
-// touched chain prefix, atomic root publication, opportunistic
-// reclamation.
-func (s *Store) putMVCC(tr *trace.Req, key, value []byte) error {
-	h := hashKey(key)
-	sh := s.shardFor(h)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-
-	root := sh.root.Load()
-	b := h % root.nbuckets
-	c := newCtx(s.rt)
-	c.Trace = tr
-
-	// Probe outside the transaction; the shard lock keeps the chain
-	// stable between probe and commit.
-	prefix, match, rest := s.findChain(c, root, b, key)
-	if err := c.Take(); err != nil {
-		return err
-	}
-	var newHead pmemobj.Oid
-	var nodes []pmemobj.Oid
-	delta := int64(1)
-	err := c.Run(func(tx *pmemobj.Tx) {
-		var retired []pmemobj.Oid
-		if match.IsNull() {
-			// Insert at head: nothing to copy, nothing to retire.
-			newHead = s.newEntry(c, tx, key, value, root.head(b))
-		} else {
-			delta = 0
-			fresh := s.newEntry(c, tx, key, value, rest)
-			newHead = s.copyChain(c, tx, prefix, fresh)
-			retired = append(append(retired, prefix...), match)
-		}
-		nodes = s.persistPublish(c, tx, sh, b, newHead, delta, retired)
-	})
-	if err != nil {
-		return err
-	}
-	s.publish(sh, root.withHead(b, newHead, delta), nodes)
-	if err := s.maybeRehashMVCC(sh, tr); err != nil {
-		return err
-	}
-	return s.drainShard(sh, c, tr)
-}
-
-// deleteMVCC is Delete under snapshot isolation.
-func (s *Store) deleteMVCC(tr *trace.Req, key []byte) (bool, error) {
-	h := hashKey(key)
-	sh := s.shardFor(h)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-
-	root := sh.root.Load()
-	b := h % root.nbuckets
-	c := newCtx(s.rt)
-	c.Trace = tr
-
-	prefix, match, rest := s.findChain(c, root, b, key)
-	if err := c.Take(); err != nil {
-		return false, err
-	}
-	if match.IsNull() {
-		return false, nil
-	}
-	var newHead pmemobj.Oid
-	var nodes []pmemobj.Oid
-	err := c.Run(func(tx *pmemobj.Tx) {
-		newHead = s.copyChain(c, tx, prefix, rest)
-		nodes = s.persistPublish(c, tx, sh, b, newHead, -1, append(prefix, match))
-	})
-	if err != nil {
-		return false, err
-	}
-	s.publish(sh, root.withHead(b, newHead, -1), nodes)
-	return true, s.drainShard(sh, c, tr)
-}
-
-// maybeRehashMVCC doubles the bucket array when the load factor
-// exceeds one. Every entry is copied — published roots may reference
-// any old entry, and relinking would mutate its next field — and the
-// old population retires as one batch. The old bucket array is freed
-// in-transaction: under MVCC no reader dereferences the persistent
-// bucket array. Caller holds sh.mu.
-func (s *Store) maybeRehashMVCC(sh *shard, tr *trace.Req) error {
-	root := sh.root.Load()
-	if root.count <= root.nbuckets {
-		return nil
-	}
-	span := tr.Span(trace.PhaseMaint)
-	defer span.End()
-
-	newN := root.nbuckets * 2
-	c := newCtx(s.rt)
-	c.Trace = tr
-	newRoot := newShardRoot(newN, root.count)
-	var nodes []pmemobj.Oid
-	err := c.Run(func(tx *pmemobj.Tx) {
-		fresh, err := s.rt.TxAlloc(tx, newN*uint64(s.oidSize))
-		if err != nil {
-			c.Fail(err)
-			return
-		}
-		var retired []pmemobj.Oid
-		for bkt := uint64(0); bkt < root.nbuckets && c.Err() == nil; bkt++ {
-			entry := root.head(bkt)
-			for !entry.IsNull() && c.Err() == nil {
-				ep := c.Direct(entry)
-				klen := c.Load(ep, enKLen)
-				kb := c.LoadBytes(ep, s.entryDataOff(), klen)
-				if c.Err() != nil {
-					return
-				}
-				nb := hashKey(kb) % newN
-				cp := s.copyEntry(c, tx, entry, newRoot.head(nb))
-				newRoot.setHead(nb, cp)
-				retired = append(retired, entry)
-				entry = c.LoadOid(ep, enNext)
-			}
-		}
-		if c.Err() != nil {
-			return
-		}
-		// The new heads go into the fresh persistent bucket array —
-		// a fresh allocation, so no snapshots are needed for it.
-		np := c.Direct(fresh)
-		for bkt := uint64(0); bkt < newN && c.Err() == nil; bkt++ {
-			if h := newRoot.head(bkt); !h.IsNull() {
-				c.StoreOid(np, int64(bkt)*s.oidSize, h)
-			}
-		}
-		hp := c.Direct(sh.hdr)
-		oldBuckets := c.LoadOid(hp, shBuckets)
-		c.SnapshotField(tx, sh.hdr, shNBuckets, 8+uint64(s.oidSize))
-		hp = c.Direct(sh.hdr)
-		c.Store(hp, shNBuckets, newN)
-		c.StoreOid(hp, shBuckets, fresh)
-		if err := c.RT.TxFree(tx, oldBuckets); err != nil {
-			c.Fail(err)
-			return
-		}
-		nodes = s.appendRetire(c, tx, sh, retired)
-	})
-	if err != nil {
-		return err
-	}
-	s.publish(sh, newRoot, nodes)
-	return nil
-}
-
 // drainShard reclaims the shard's leading retire batches whose epoch
 // every pinned snapshot has moved past. Caller holds sh.mu. One
 // transaction per node keeps reclaim crash-atomic: a batch is either
@@ -610,11 +463,9 @@ func (s *Store) loadRoot(c *ctx, sh *shard) (*shardRoot, error) {
 // Writers drain opportunistically after each mutation; Reclaim is the
 // explicit synchronous sweep for quiescent stores (a test asserting
 // pool occupancy, or a caller that just released the last snapshot and
-// wants the space back now). A no-op under NoMVCC.
+// wants the space back now). Under NoMVCC nothing is ever pinned, so
+// writers have already freed every batch and the sweep finds none.
 func (s *Store) Reclaim() error {
-	if !s.mvcc {
-		return nil
-	}
 	c := newCtx(s.rt)
 	for i := range s.shards {
 		sh := &s.shards[i]

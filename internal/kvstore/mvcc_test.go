@@ -211,12 +211,46 @@ func TestSnapshotUseAfterRelease(t *testing.T) {
 	}
 }
 
+// persistentGet is the differential reference reader: it walks the
+// persistent bucket array (shBuckets) under the shard read lock, so it
+// shares neither the published root nor getAt with the store's read
+// paths.
+func persistentGet(s *Store, key []byte) ([]byte, bool, error) {
+	h := hashKey(key)
+	sh := s.shardFor(h)
+	sh.mu.RLock()
+	defer sh.mu.RUnlock()
+
+	c := newCtx(s.rt)
+	hp := c.Direct(sh.hdr)
+	n := c.Load(hp, shNBuckets)
+	buckets := c.LoadOid(hp, shBuckets)
+	if err := c.Take(); err != nil || n == 0 {
+		return nil, false, err
+	}
+	entry := c.LoadOid(c.Direct(buckets), int64(h%n)*s.oidSize)
+	for !entry.IsNull() && c.Err() == nil {
+		ep := c.Direct(entry)
+		if s.keyEqual(c, ep, key) {
+			vlen := c.Load(ep, enVLen)
+			val, err := hooks.LoadBytes(c.RT, c.RT.Gep(ep, s.entryDataOff()+int64(len(key))), vlen)
+			if err != nil {
+				c.Fail(err)
+				break
+			}
+			return val, true, c.Take()
+		}
+		entry = c.LoadOid(ep, enNext)
+	}
+	return nil, false, c.Take()
+}
+
 // TestSnapshotFaultVerdictsMatchLocked is the differential safety
 // test: corrupting an entry's persistent length field must produce the
 // same verdict — trap or silent over-read, per the variant's contract —
-// whether the entry is read through the locked path or the snapshot
-// path. The snapshot path acquires no locks but runs every access
-// through the same protection hooks.
+// whether the entry is read by a locked walk of the persistent bucket
+// array or through the snapshot path. The snapshot path acquires no
+// locks but runs every access through the same protection hooks.
 func TestSnapshotFaultVerdictsMatchLocked(t *testing.T) {
 	for _, kind := range variant.Kinds {
 		t.Run(string(kind), func(t *testing.T) {
@@ -238,7 +272,7 @@ func TestSnapshotFaultVerdictsMatchLocked(t *testing.T) {
 			binary.LittleEndian.PutUint64(raw[vlenOff:],
 				binary.LittleEndian.Uint64(raw[vlenOff:])+64)
 
-			lv, lok, lerr := s.getLocked(key)
+			lv, lok, lerr := persistentGet(s, key)
 			sn := s.Snapshot()
 			sv, sok, serr := sn.Get(key)
 			if err := sn.Release(); err != nil {
@@ -256,80 +290,111 @@ func TestSnapshotFaultVerdictsMatchLocked(t *testing.T) {
 	}
 }
 
-// TestScanOracle checks ordered range scans against a sorted oracle in
-// both modes: the MVCC snapshot path and the -no-mvcc locked fallback.
+// TestScanOracle checks ordered range scans and Count against a
+// sorted oracle in both read modes — the MVCC snapshot path and the
+// -no-mvcc read-locked fallback — then reopens the pool under the other
+// mode, whose choice is volatile, and checks the same state again
+// before and after more churn.
 func TestScanOracle(t *testing.T) {
 	for _, noMVCC := range []bool{false, true} {
 		t.Run(fmt.Sprintf("noMVCC=%v", noMVCC), func(t *testing.T) {
-			s, _ := newStoreKnobs(t, variant.SPP, engine.Knobs{NoMVCC: noMVCC})
+			s, env := newStoreKnobs(t, variant.SPP, engine.Knobs{NoMVCC: noMVCC})
 			oracle := make(map[string]string)
 			rng := rand.New(rand.NewSource(7))
-			for i := 0; i < 1500; i++ {
-				k := fmt.Sprintf("key-%05d", rng.Intn(600))
-				if rng.Intn(4) == 0 {
-					if _, err := s.Delete([]byte(k)); err != nil {
-						t.Fatal(err)
+			churn := func(s *Store, ops int) {
+				for i := 0; i < ops; i++ {
+					k := fmt.Sprintf("key-%05d", rng.Intn(600))
+					if rng.Intn(4) == 0 {
+						if _, err := s.Delete([]byte(k)); err != nil {
+							t.Fatal(err)
+						}
+						delete(oracle, k)
+					} else {
+						v := fmt.Sprintf("v%d", rng.Int())
+						if err := s.Put([]byte(k), []byte(v)); err != nil {
+							t.Fatal(err)
+						}
+						oracle[k] = v
 					}
-					delete(oracle, k)
-				} else {
-					v := fmt.Sprintf("v%d", i)
-					if err := s.Put([]byte(k), []byte(v)); err != nil {
-						t.Fatal(err)
-					}
-					oracle[k] = v
 				}
 			}
-			sorted := make([]string, 0, len(oracle))
-			for k := range oracle {
-				sorted = append(sorted, k)
-			}
-			sort.Strings(sorted)
-
-			collect := func(lo, hi []byte) []string {
-				var got []string
-				if err := s.Scan(lo, hi, func(k, v []byte) bool {
-					if oracle[string(k)] != string(v) {
-						t.Fatalf("Scan %q = %q, oracle %q", k, v, oracle[string(k)])
+			check := func(s *Store) {
+				t.Helper()
+				sorted := make([]string, 0, len(oracle))
+				for k := range oracle {
+					sorted = append(sorted, k)
+				}
+				sort.Strings(sorted)
+				if n, err := s.Count(); err != nil || n != uint64(len(sorted)) {
+					t.Fatalf("Count = %d, %v; oracle %d", n, err, len(sorted))
+				}
+				collect := func(lo, hi []byte) []string {
+					var got []string
+					if err := s.Scan(lo, hi, func(k, v []byte) bool {
+						if oracle[string(k)] != string(v) {
+							t.Fatalf("Scan %q = %q, oracle %q", k, v, oracle[string(k)])
+						}
+						got = append(got, string(k))
+						return true
+					}); err != nil {
+						t.Fatal(err)
 					}
-					got = append(got, string(k))
-					return true
+					return got
+				}
+				full := collect(nil, nil)
+				if len(full) != len(sorted) {
+					t.Fatalf("full scan: %d keys, oracle %d", len(full), len(sorted))
+				}
+				for i := range full {
+					if full[i] != sorted[i] {
+						t.Fatalf("order diverges at %d: %q vs %q", i, full[i], sorted[i])
+					}
+				}
+				for trial := 0; trial < 10; trial++ {
+					i, j := rng.Intn(len(sorted)), rng.Intn(len(sorted))
+					if i > j {
+						i, j = j, i
+					}
+					lo, hi := []byte(sorted[i]), []byte(sorted[j])
+					got := collect(lo, hi)
+					want := sorted[i:j] // hi exclusive
+					if len(got) != len(want) {
+						t.Fatalf("range [%s,%s): %d keys, want %d", lo, hi, len(got), len(want))
+					}
+				}
+				// Early stop: fn returning false ends the visit.
+				var n int
+				if err := s.Scan(nil, nil, func(_, _ []byte) bool {
+					n++
+					return n < 5
 				}); err != nil {
 					t.Fatal(err)
 				}
-				return got
-			}
-			full := collect(nil, nil)
-			if len(full) != len(sorted) {
-				t.Fatalf("full scan: %d keys, oracle %d", len(full), len(sorted))
-			}
-			for i := range full {
-				if full[i] != sorted[i] {
-					t.Fatalf("order diverges at %d: %q vs %q", i, full[i], sorted[i])
+				if n != 5 {
+					t.Fatalf("early stop visited %d keys, want 5", n)
 				}
 			}
-			for trial := 0; trial < 10; trial++ {
-				i, j := rng.Intn(len(sorted)), rng.Intn(len(sorted))
-				if i > j {
-					i, j = j, i
-				}
-				lo, hi := []byte(sorted[i]), []byte(sorted[j])
-				got := collect(lo, hi)
-				want := sorted[i:j] // hi exclusive
-				if len(got) != len(want) {
-					t.Fatalf("range [%s,%s): %d keys, want %d", lo, hi, len(got), len(want))
-				}
-			}
-			// Early stop: fn returning false ends the visit.
-			var n int
-			if err := s.Scan(nil, nil, func(_, _ []byte) bool {
-				n++
-				return n < 5
-			}); err != nil {
+			churn(s, 1500)
+			check(s)
+
+			if err := env.Pool.Close(); err != nil {
 				t.Fatal(err)
 			}
-			if n != 5 {
-				t.Fatalf("early stop visited %d keys, want 5", n)
+			env2, err := variant.AdoptConfig(variant.SPP, env.Dev,
+				variant.Options{Knobs: engine.Knobs{NoMVCC: !noMVCC}})
+			if err != nil {
+				t.Fatal(err)
 			}
+			s2, err := Open(env2.RT)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if s2.mvcc != noMVCC {
+				t.Fatalf("reopened store mvcc = %v, want %v", s2.mvcc, noMVCC)
+			}
+			check(s2)
+			churn(s2, 500)
+			check(s2)
 		})
 	}
 }

@@ -119,7 +119,7 @@ func (s *Store) visitMerged(c *ctx, runs [][]scanItem, fn func(key, value []byte
 // Scan visits every key in [lo, hi) in ascending byte order (nil lo
 // scans from the start, nil hi to the end), stopping early when fn
 // returns false. Under MVCC it runs against a private snapshot; under
-// NoMVCC it falls back to per-shard locked collection.
+// NoMVCC it collects each shard's latest root under its read lock.
 func (s *Store) Scan(lo, hi []byte, fn func(key, value []byte) bool) error {
 	if !s.mvcc {
 		return s.lockedScan(lo, hi, fn)
@@ -155,27 +155,24 @@ func (sn *Snap) Scan(lo, hi []byte, fn func(key, value []byte) bool) error {
 	return sn.s.visitMerged(c, runs, fn)
 }
 
-// lockedScan is the NoMVCC fallback: each shard is frozen under its
-// read lock just long enough to collect and copy its in-range pairs
-// (values eagerly — once the lock drops a writer may free the entry),
-// then the per-shard runs merge exactly like the snapshot path.
+// lockedScan is the NoMVCC fallback: each shard's latest root is
+// walked under the shard read lock just long enough to collect and
+// copy its in-range pairs (values eagerly — once the lock drops a
+// writer frees superseded entries), then the per-shard runs merge
+// exactly like the snapshot path.
 func (s *Store) lockedScan(lo, hi []byte, fn func(key, value []byte) bool) error {
 	c := newCtx(s.rt)
 	runs := make([][]scanItem, 0, len(s.shards))
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.RLock()
-		root, err := s.loadRoot(c, sh)
-		if err == nil {
-			var run []scanItem
-			run, err = s.collectRange(c, root, lo, hi, true)
-			if len(run) > 0 {
-				runs = append(runs, run)
-			}
-		}
+		run, err := s.collectRange(c, sh.root.Load(), lo, hi, true)
 		sh.mu.RUnlock()
 		if err != nil {
 			return err
+		}
+		if len(run) > 0 {
+			runs = append(runs, run)
 		}
 	}
 	return s.visitMerged(c, runs, fn)

@@ -21,11 +21,12 @@
 // address, and the mode switch itself is guarded by an RWMutex: the
 // data path holds it for read, Enable/DisableTracking, Crash and
 // DurableImage hold it for write. The lock order is mode before
-// stripe; stripes are only ever locked together in ascending index
-// order (by Fence).
+// stripe before storeMu; stripes are only ever locked together in
+// ascending index order (by Fence), and a store holds storeMu alone.
 package pmem
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
@@ -132,6 +133,15 @@ type Pool struct {
 	sink      TraceSink
 	stripes   [flushStripes]flushStripe
 
+	// storeMu orders tracked stores against Fence copying flushed
+	// cachelines into the durable image. A flushed line can hold bytes
+	// another goroutine is storing at that moment (false sharing); the
+	// hardware persists either value, but in Go the overlap is a data
+	// race. Device-API stores hold it for read and Fence for write,
+	// only while tracking is on. Stores through a vmem mapping write
+	// the slice directly and are not covered.
+	storeMu sync.RWMutex
+
 	// Fence combiner (GroupFence): fenceEpoch counts combined fences
 	// that have *started*; fenceMu serializes leaders. Only consulted
 	// when tracking is on — that is the only mode where a fence does
@@ -227,9 +237,18 @@ func (p *Pool) Tracking() bool {
 	return p.gates.Load()&gateTracking != 0
 }
 
-// recordStore notes a completed store at [off, off+size).
-func (p *Pool) recordStore(off, size uint64) {
-	g := p.gates.Load()
+// writeTracked is the tracking-mode store: b is written at off under
+// storeMu held for read, then recorded. g is the caller's gate word.
+func (p *Pool) writeTracked(g uint32, off uint64, b []byte) {
+	p.storeMu.RLock()
+	copy(p.data[off:off+uint64(len(b))], b)
+	p.storeMu.RUnlock()
+	p.recordStore(g, off, uint64(len(b)))
+}
+
+// recordStore notes a completed store at [off, off+size); g is the
+// gate word loaded when the store began.
+func (p *Pool) recordStore(g uint32, off, size uint64) {
 	if g == 0 {
 		return
 	}
@@ -262,7 +281,7 @@ func (p *Pool) recordStore(off, size uint64) {
 // ObserveStore implements vmem.StoreObserver so that application stores
 // through the simulated address space join the persistence trace.
 func (p *Pool) ObserveStore(off, size uint64) {
-	p.recordStore(off, size)
+	p.recordStore(p.gates.Load(), off, size)
 }
 
 // ReadU64 reads a little-endian 64-bit value at off.
@@ -274,6 +293,13 @@ func (p *Pool) ReadU64(off uint64) uint64 {
 
 // WriteU64 writes a little-endian 64-bit value at off.
 func (p *Pool) WriteU64(off uint64, v uint64) {
+	g := p.gates.Load()
+	if g&gateTracking != 0 {
+		var b [8]byte
+		binary.LittleEndian.PutUint64(b[:], v)
+		p.writeTracked(g, off, b[:])
+		return
+	}
 	b := p.data[off : off+8]
 	b[0] = byte(v)
 	b[1] = byte(v >> 8)
@@ -283,7 +309,7 @@ func (p *Pool) WriteU64(off uint64, v uint64) {
 	b[5] = byte(v >> 40)
 	b[6] = byte(v >> 48)
 	b[7] = byte(v >> 56)
-	p.recordStore(off, 8)
+	p.recordStore(g, off, 8)
 }
 
 // WriteU64s writes consecutive little-endian 64-bit values starting at
@@ -296,7 +322,8 @@ func (p *Pool) WriteU64s(off uint64, vals []uint64) {
 	if len(vals) == 0 {
 		return
 	}
-	if p.gates.Load()&gateTracking != 0 {
+	g := p.gates.Load()
+	if g&gateTracking != 0 {
 		for i, v := range vals {
 			p.WriteU64(off+uint64(i)*8, v)
 		}
@@ -314,7 +341,7 @@ func (p *Pool) WriteU64s(off uint64, vals []uint64) {
 		e[6] = byte(v >> 48)
 		e[7] = byte(v >> 56)
 	}
-	p.recordStore(off, uint64(len(vals))*8)
+	p.recordStore(g, off, uint64(len(vals))*8)
 }
 
 // ReadBytes copies size bytes at off into a fresh slice.
@@ -326,17 +353,27 @@ func (p *Pool) ReadBytes(off, size uint64) []byte {
 
 // WriteBytes writes b at off.
 func (p *Pool) WriteBytes(off uint64, b []byte) {
+	g := p.gates.Load()
+	if g&gateTracking != 0 {
+		p.writeTracked(g, off, b)
+		return
+	}
 	copy(p.data[off:], b)
-	p.recordStore(off, uint64(len(b)))
+	p.recordStore(g, off, uint64(len(b)))
 }
 
 // Zero clears [off, off+size).
 func (p *Pool) Zero(off, size uint64) {
+	g := p.gates.Load()
+	if g&gateTracking != 0 {
+		p.writeTracked(g, off, make([]byte, size))
+		return
+	}
 	region := p.data[off : off+size]
 	for i := range region {
 		region[i] = 0
 	}
-	p.recordStore(off, size)
+	p.recordStore(g, off, size)
 }
 
 // Flush initiates write-back of [off, off+size), extended to cacheline
@@ -401,6 +438,7 @@ func (p *Pool) Fence() {
 		p.stripes[i].mu.Lock()
 	}
 	retired := 0
+	p.storeMu.Lock()
 	for i := range p.stripes {
 		s := &p.stripes[i]
 		retired += len(s.pending)
@@ -409,6 +447,7 @@ func (p *Pool) Fence() {
 		}
 		s.pending = s.pending[:0]
 	}
+	p.storeMu.Unlock()
 	telemetry.Flight.Record(telemetry.EvFence, uint64(retired), 0)
 	for i := len(p.stripes) - 1; i >= 0; i-- {
 		p.stripes[i].mu.Unlock()

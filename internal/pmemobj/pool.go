@@ -230,8 +230,11 @@ func open(dev *pmem.Pool, as *vmem.AddressSpace, base uint64, cfg Config) (*Pool
 		undoCap:  dev.ReadU64(hUndoBytes),
 	}
 	p.heapEnd = p.heapOff + dev.ReadU64(hHeapSize)&^(blockAlign-1)
-	if p.heapEnd > dev.Size() || p.heapOff >= p.heapEnd || p.nLanes <= 0 {
+	if p.heapEnd > dev.Size() || p.heapOff >= p.heapEnd {
 		return nil, fmt.Errorf("%w: bad geometry", ErrCorruptPool)
+	}
+	if !lanesFit(p.heapOff, dev.ReadU64(hNLanes), p.laneSize, dev.ReadU64(hRedoEntries), p.undoCap) {
+		return nil, fmt.Errorf("%w: bad lane geometry", ErrCorruptPool)
 	}
 	if p.spp && base+dev.Size() > enc.MaxPoolEnd() {
 		return nil, fmt.Errorf("%w: pool end %#x > limit %#x", ErrPoolMapsHigh, base+dev.Size(), enc.MaxPoolEnd())
@@ -316,6 +319,23 @@ func (p *Pool) recover() error {
 		}
 	}
 	return nil
+}
+
+// lanesFit reports whether nLanes lanes of laneSize bytes fit between
+// the header and heapOff, each holding a non-empty redo log of redoCap
+// entries followed by an undo log of undoCap bytes. Every product is
+// bounded by a division first, so corrupt header words cannot overflow
+// the check.
+func lanesFit(heapOff, nLanes, laneSize, redoCap, undoCap uint64) bool {
+	const fixed = laneRedoBase + undoDataOff
+	if heapOff < headerSize || laneSize < fixed || redoCap == 0 {
+		return false
+	}
+	logBytes := laneSize - fixed
+	if redoCap > logBytes/16 || undoCap > logBytes-redoCap*16 {
+		return false
+	}
+	return nLanes > 0 && nLanes <= (heapOff-headerSize)/laneSize
 }
 
 func (p *Pool) laneOff(i int) uint64 { return headerSize + uint64(i)*p.laneSize }

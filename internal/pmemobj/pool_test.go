@@ -62,6 +62,36 @@ func TestOpenRejectsGarbage(t *testing.T) {
 	}
 }
 
+// TestOpenRejectsCorruptLaneGeometry corrupts one lane-geometry word
+// of a valid pool header at a time: Open must return ErrCorruptPool
+// before recovery reads a lane, never panic or accept the image.
+func TestOpenRejectsCorruptLaneGeometry(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		field uint64
+		val   uint64
+	}{
+		{"nlanes-huge", hNLanes, 1 << 20},
+		{"nlanes-over-heap", hNLanes, 155},
+		{"lanesize-huge", hLaneSize, 1 << 40},
+		{"redo-entries-huge", hRedoEntries, 1 << 40},
+		{"undo-bytes-huge", hUndoBytes, 1 << 40},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, dev := newTestPool(t, Config{SPP: true})
+			dev.WriteU64(tc.field, tc.val)
+			defer func() {
+				if r := recover(); r != nil {
+					t.Fatalf("Open panicked: %v", r)
+				}
+			}()
+			if _, err := Open(dev, nil, testBase); !errors.Is(err, ErrCorruptPool) {
+				t.Fatalf("Open = %v, want ErrCorruptPool", err)
+			}
+		})
+	}
+}
+
 func TestCreateRejectsBadGeometry(t *testing.T) {
 	dev := pmem.NewPool("tiny", 1<<12)
 	if _, err := Create(dev, nil, testBase, Config{}); err == nil {

@@ -84,8 +84,8 @@ type Snap struct {
 
 // Snapshot pins the store's current version and returns the frozen
 // view. Always Release it (safe via defer — Release is idempotent).
-// When the pool runs with -no-mvcc, the returned Snap degrades to
-// locked reads of live state and pins nothing.
+// When the pool runs with -no-mvcc, the returned Snap pins nothing:
+// its reads take each shard's read lock and see the latest state.
 func (s *Store) Snapshot() *Snap {
 	return &Snap{sn: s.kv.Snapshot()}
 }
