@@ -111,11 +111,13 @@ trace-smoke:
 ## test, epoch-reclaim leak check, differential fault verdicts on the
 ## snapshot path, mid-storm crash recovery, scan oracle in both read
 ## modes across a mode-switching reopen, the concurrent mixed workload
-## in both read modes, end-to-end OpScan — plus a tiny run of the scan
+## in both read modes, end-to-end OpScan, the shard/bucket spread
+## regression, corrupt store roots and shard headers rejected at open
+## without writes — plus a tiny run of the scan
 ## experiment asserting the snapshot reader keeps a non-zero read rate
 ## under the write storm.
 mvcc-smoke:
-	$(GO) test -run 'TestSnapshot|TestEpochReclaim|TestScan|TestCrashRecoveryMidStorm|TestRehashMaint|TestConcurrentMixedWorkload' ./internal/kvstore ./internal/server ./internal/wire -count=1
+	$(GO) test -run 'TestSnapshot|TestEpochReclaim|TestScan|TestCrashRecoveryMidStorm|TestRehashMaint|TestConcurrentMixedWorkload|TestBucketSpread|TestOpenRejectsCorruptStore' ./internal/kvstore ./internal/server ./internal/wire -count=1
 	@out="$$($(GO) run ./cmd/sppbench -exp scan -scale 0.002)"; \
 	echo "$$out"; \
 	echo "$$out" | awk '$$1=="mvcc" && $$2=="storm" { found=1; if ($$3+0 <= 0) bad=1 } \

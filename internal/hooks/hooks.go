@@ -78,6 +78,10 @@ type Runtime interface {
 	ReallocAt(destOff, size uint64) error
 	TxAlloc(tx *pmemobj.Tx, size uint64) (pmemobj.Oid, error)
 	TxFree(tx *pmemobj.Tx, oid pmemobj.Oid) error
+	// UsableSize returns how many bytes from oid's offset the live
+	// allocation behind it holds, from persistent allocator metadata,
+	// so a persisted count can be checked before it is trusted.
+	UsableSize(oid pmemobj.Oid) (uint64, error)
 
 	// Direct is pmemobj_direct: oid to (variant-specific) pointer.
 	Direct(oid pmemobj.Oid) uint64
@@ -148,6 +152,9 @@ func (n *Native) TxAlloc(tx *pmemobj.Tx, size uint64) (pmemobj.Oid, error) { ret
 
 // TxFree implements Runtime.
 func (n *Native) TxFree(tx *pmemobj.Tx, oid pmemobj.Oid) error { return tx.Free(oid) }
+
+// UsableSize implements Runtime.
+func (n *Native) UsableSize(oid pmemobj.Oid) (uint64, error) { return n.pool.UsableSize(oid) }
 
 // Direct implements Runtime.
 func (n *Native) Direct(oid pmemobj.Oid) uint64 { return n.pool.Direct(oid) }
@@ -228,6 +235,9 @@ func (s *SPP) TxAlloc(tx *pmemobj.Tx, size uint64) (pmemobj.Oid, error) { return
 
 // TxFree implements Runtime.
 func (s *SPP) TxFree(tx *pmemobj.Tx, oid pmemobj.Oid) error { return tx.Free(oid) }
+
+// UsableSize implements Runtime.
+func (s *SPP) UsableSize(oid pmemobj.Oid) (uint64, error) { return s.pool.UsableSize(oid) }
 
 // Direct implements Runtime: the tagged pointer of §IV-B.
 func (s *SPP) Direct(oid pmemobj.Oid) uint64 { return s.pool.Direct(oid) }

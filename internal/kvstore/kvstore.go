@@ -14,12 +14,25 @@
 // and walk the latest root, and snapshots pin nothing, so writers free
 // superseded versions right after each write.
 //
+// A key's shard and bucket come from disjoint parts of its FNV-1a
+// hash h: the shard is h mod nshards and the bucket, in a shard of
+// nbuckets buckets, is (h / nshards) mod nbuckets (slotOf). Taking
+// both from the same low bits would confine each shard's keys to
+// nbuckets/nshards of its buckets and let chains grow without bound.
+// Bucket placement is part of the persistent format, so the root's
+// nshards word carries a layout version in its high 32 bits; Open
+// refuses an image whose version is absent or unknown, and validates
+// the shard directory and every shard header against the objects that
+// hold them before it reads or writes anything else.
+//
 // Like every application in this repository, all PM accesses go
 // through the hooks.Runtime instrumentation surface, so the store runs
 // unmodified under native PMDK, SPP, SafePM and memcheck.
 package kvstore
 
 import (
+	"errors"
+	"fmt"
 	"hash/fnv"
 	"sync"
 	"sync/atomic"
@@ -77,10 +90,23 @@ const (
 	enVLen = 8
 	enNext = 16
 
-	// Root layout: {nshards u64, dir oid}.
+	// Root layout: {layout version u32 | nshards u32, dir oid}. The
+	// version sits in the high half of the nshards word so the root
+	// keeps its size; images written before it existed read as 0.
+	layoutVersion  = 1
+	maxShards      = 1<<32 - 1
 	defaultShards  = 64
 	initialBuckets = 64
 )
+
+// ErrLayoutVersion reports a store image written with a different
+// bucket placement (or before the layout version existed); it is not
+// migrated, so reading it would silently miss keys.
+var ErrLayoutVersion = errors.New("kvstore: unsupported store layout version")
+
+// ErrCorruptStore reports a store root or shard header that does not
+// fit the objects that hold it.
+var ErrCorruptStore = errors.New("kvstore: corrupt store image")
 
 func (s *Store) shardHdrSize() uint64 { return 16 + 2*uint64(s.oidSize) }
 func (s *Store) shRetireOff() int64   { return shBuckets + s.oidSize }
@@ -118,6 +144,9 @@ func open(rt hooks.Runtime, cfg config) (*Store, error) {
 	if shards == 0 {
 		shards = defaultShards
 	}
+	if shards > maxShards {
+		return nil, fmt.Errorf("kvstore: %d shards exceed the maximum %d", shards, uint64(maxShards))
+	}
 	pool := rt.Pool()
 	s := &Store{rt: rt, pool: pool, oidSize: int64(pool.OidPersistedSize())}
 	s.mvcc = pool.MVCC()
@@ -128,26 +157,51 @@ func open(rt hooks.Runtime, cfg config) (*Store, error) {
 		return nil, err
 	}
 	c := newCtx(rt)
-	nshards := c.Load(c.Direct(root), 0)
+	word := c.Load(c.Direct(root), 0)
 	if err := c.Take(); err != nil {
 		return nil, err
 	}
-	if nshards == 0 {
+	if word == 0 {
 		if err := s.initialize(root, shards); err != nil {
 			return nil, err
 		}
-		nshards = shards
+		word = layoutVersion<<32 | shards
 	}
-	// Rebuild the volatile shard table.
+	if v := word >> 32; v != layoutVersion {
+		return nil, fmt.Errorf("%w: image has version %d (0: written before versions existed), this build reads %d; re-create the store", ErrLayoutVersion, v, layoutVersion)
+	}
+	// Rebuild the volatile shard table, checking every persisted count
+	// against the object that holds it before anything is trusted or
+	// written.
 	dir := c.LoadOid(c.Direct(root), 8)
+	if err := c.Take(); err != nil {
+		return nil, err
+	}
+	nshards := word & maxShards
+	if err := s.fits("shard directory", dir, nshards, uint64(s.oidSize)); err != nil {
+		return nil, err
+	}
 	s.dir = dir
 	dp := c.Direct(dir)
 	s.shards = make([]shard, nshards)
 	for i := range s.shards {
-		s.shards[i].hdr = c.LoadOid(dp, int64(i)*s.oidSize)
-	}
-	if err := c.Take(); err != nil {
-		return nil, err
+		sh := &s.shards[i]
+		sh.hdr = c.LoadOid(dp, int64(i)*s.oidSize)
+		if err := c.Take(); err != nil {
+			return nil, err
+		}
+		if err := s.fits("shard header", sh.hdr, 1, s.shardHdrSize()); err != nil {
+			return nil, fmt.Errorf("shard %d: %w", i, err)
+		}
+		hp := c.Direct(sh.hdr)
+		n := c.Load(hp, shNBuckets)
+		buckets := c.LoadOid(hp, shBuckets)
+		if err := c.Take(); err != nil {
+			return nil, err
+		}
+		if err := s.fits("bucket array", buckets, n, uint64(s.oidSize)); err != nil {
+			return nil, fmt.Errorf("shard %d: %w", i, err)
+		}
 	}
 	// Crash cleanup: retire nodes left on a chain list versions no
 	// bucket reaches (the supersede and the retire commit atomically),
@@ -167,8 +221,25 @@ func open(rt hooks.Runtime, cfg config) (*Store, error) {
 	return s, nil
 }
 
-// initialize lays out the shard directory and shard headers in one
-// transaction.
+// fits checks that a persisted count n of elemSize-byte elements is
+// non-zero and fits the live allocation oid, so a corrupt count can
+// neither index past the object nor size a huge volatile table.
+func (s *Store) fits(what string, oid pmemobj.Oid, n, elemSize uint64) error {
+	if n == 0 {
+		return fmt.Errorf("%w: %s count is 0", ErrCorruptStore, what)
+	}
+	usable, err := s.rt.UsableSize(oid)
+	if err != nil {
+		return fmt.Errorf("%w: %s: %v", ErrCorruptStore, what, err)
+	}
+	if n > usable/elemSize {
+		return fmt.Errorf("%w: %s count %d exceeds its %d-byte object", ErrCorruptStore, what, n, usable)
+	}
+	return nil
+}
+
+// initialize lays out the shard directory and shard headers, and
+// stamps the root with the layout version, in one transaction.
 func (s *Store) initialize(root pmemobj.Oid, nshards uint64) error {
 	c := newCtx(s.rt)
 	return c.Run(func(tx *pmemobj.Tx) {
@@ -196,20 +267,32 @@ func (s *Store) initialize(root pmemobj.Oid, nshards uint64) error {
 		}
 		c.Snapshot(tx, root, 8+uint64(s.oidSize))
 		rp := c.Direct(root)
-		c.Store(rp, 0, nshards)
+		c.Store(rp, 0, layoutVersion<<32|nshards)
 		c.StoreOid(rp, 8, dir)
 	})
 }
 
-func hashKey(key []byte) uint64 {
-	h := fnv.New64a()
-	_, _ = h.Write(key)
-	return h.Sum64()
+// slot is where a key lives: its shard index and the quotient of its
+// hash by the shard count, the hash bits the shard index left unused.
+type slot struct {
+	shard uint64
+	q     uint64
 }
 
-func (s *Store) shardFor(h uint64) *shard {
-	return &s.shards[h%uint64(len(s.shards))]
+// slotOf hashes key with FNV-1a and splits the hash h between the two
+// index levels: the shard is h mod nshards and the bucket (see
+// slot.bucket) comes from h / nshards. The quotient keeps the levels
+// disjoint for any shard count; the hash's high bits would not do,
+// because FNV-1a mixes them poorly on short decimal keys.
+func (s *Store) slotOf(key []byte) slot {
+	f := fnv.New64a()
+	_, _ = f.Write(key)
+	h, n := f.Sum64(), uint64(len(s.shards))
+	return slot{shard: h % n, q: h / n}
 }
+
+// bucket is the slot's bucket in a shard of nbuckets buckets.
+func (k slot) bucket(nbuckets uint64) uint64 { return k.q % nbuckets }
 
 // keyEqual compares the stored key of an entry with key.
 func (s *Store) keyEqual(c *ctx, ep uint64, key []byte) bool {
@@ -229,16 +312,16 @@ func (s *Store) keyEqual(c *ctx, ep uint64, key []byte) bool {
 // lock; under NoMVCC it walks the same root under the shard's read
 // lock, so it queues behind writers.
 func (s *Store) Get(key []byte) ([]byte, bool, error) {
-	h := hashKey(key)
-	sh := s.shardFor(h)
+	k := s.slotOf(key)
+	sh := &s.shards[k.shard]
 	c := newCtx(s.rt)
 	if !s.mvcc {
 		sh.mu.RLock()
 		defer sh.mu.RUnlock()
-		return s.getAt(c, sh.root.Load(), h, key)
+		return s.getAt(c, sh.root.Load(), k, key)
 	}
 	e := s.pin()
-	val, ok, err := s.getAt(c, sh.root.Load(), h, key)
+	val, ok, err := s.getAt(c, sh.root.Load(), k, key)
 	s.unpin(e)
 	return val, ok, err
 }
@@ -255,13 +338,13 @@ func (s *Store) Put(key, value []byte) error { return s.PutTraced(nil, key, valu
 // new root is published atomically, and superseded versions retire
 // for reclamation once no pinned snapshot can reach them.
 func (s *Store) PutTraced(tr *trace.Req, key, value []byte) error {
-	h := hashKey(key)
-	sh := s.shardFor(h)
+	k := s.slotOf(key)
+	sh := &s.shards[k.shard]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 
 	root := sh.root.Load()
-	b := h % root.nbuckets
+	b := k.bucket(root.nbuckets)
 	c := newCtx(s.rt)
 	c.Trace = tr
 
@@ -333,7 +416,7 @@ func (s *Store) maybeRehash(sh *shard, tr *trace.Req) error {
 				if c.Err() != nil {
 					return
 				}
-				nb := hashKey(kb) % newN
+				nb := s.slotOf(kb).bucket(newN)
 				cp := s.copyEntry(c, tx, entry, newRoot.head(nb))
 				newRoot.setHead(nb, cp)
 				retired = append(retired, entry)
@@ -377,13 +460,13 @@ func (s *Store) Delete(key []byte) (bool, error) { return s.DeleteTraced(nil, ke
 // traced request. Nil tr is Delete. Like Put it copies the chain
 // prefix on write and retires the superseded entries.
 func (s *Store) DeleteTraced(tr *trace.Req, key []byte) (bool, error) {
-	h := hashKey(key)
-	sh := s.shardFor(h)
+	k := s.slotOf(key)
+	sh := &s.shards[k.shard]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 
 	root := sh.root.Load()
-	b := h % root.nbuckets
+	b := k.bucket(root.nbuckets)
 	c := newCtx(s.rt)
 	c.Trace = tr
 

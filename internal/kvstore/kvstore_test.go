@@ -273,11 +273,12 @@ func TestValueOverflowCaught(t *testing.T) {
 	}
 	// Find the entry and read past its allocation.
 	c := newCtx(env.RT)
-	sh := s.shardFor(hashKey([]byte("k")))
+	k := s.slotOf([]byte("k"))
+	sh := &s.shards[k.shard]
 	hp := c.Direct(sh.hdr)
 	n := c.Load(hp, shNBuckets)
 	buckets := c.LoadOid(hp, shBuckets)
-	entry := c.LoadOid(c.Direct(buckets), int64(hashKey([]byte("k"))%n)*s.oidSize)
+	entry := c.LoadOid(c.Direct(buckets), int64(k.bucket(n))*s.oidSize)
 	if err := c.Take(); err != nil {
 		t.Fatal(err)
 	}

@@ -141,8 +141,8 @@ func (s *Store) unpin(e uint64) bool {
 // getAt runs Get against one immutable root. Every entry access goes
 // through the instrumented accessor, so bounds and tag checks fire on
 // every read path.
-func (s *Store) getAt(c *ctx, root *shardRoot, h uint64, key []byte) ([]byte, bool, error) {
-	entry := root.head(h % root.nbuckets)
+func (s *Store) getAt(c *ctx, root *shardRoot, k slot, key []byte) ([]byte, bool, error) {
+	entry := root.head(k.bucket(root.nbuckets))
 	for !entry.IsNull() && c.Err() == nil {
 		ep := c.Direct(entry)
 		if s.keyEqual(c, ep, key) {
@@ -200,9 +200,9 @@ func (sn *Snap) Get(key []byte) ([]byte, bool, error) {
 	if sn.released {
 		return nil, false, errReleased
 	}
-	h := hashKey(key)
+	k := sn.s.slotOf(key)
 	c := newCtx(sn.s.rt)
-	return sn.s.getAt(c, sn.roots[h%uint64(len(sn.roots))], h, key)
+	return sn.s.getAt(c, sn.roots[k.shard], k, key)
 }
 
 // Count returns the number of keys in the snapshot's view.

@@ -216,8 +216,8 @@ func TestSnapshotUseAfterRelease(t *testing.T) {
 // shares neither the published root nor getAt with the store's read
 // paths.
 func persistentGet(s *Store, key []byte) ([]byte, bool, error) {
-	h := hashKey(key)
-	sh := s.shardFor(h)
+	k := s.slotOf(key)
+	sh := &s.shards[k.shard]
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
 
@@ -228,7 +228,7 @@ func persistentGet(s *Store, key []byte) ([]byte, bool, error) {
 	if err := c.Take(); err != nil || n == 0 {
 		return nil, false, err
 	}
-	entry := c.LoadOid(c.Direct(buckets), int64(h%n)*s.oidSize)
+	entry := c.LoadOid(c.Direct(buckets), int64(k.bucket(n))*s.oidSize)
 	for !entry.IsNull() && c.Err() == nil {
 		ep := c.Direct(entry)
 		if s.keyEqual(c, ep, key) {
@@ -262,8 +262,9 @@ func TestSnapshotFaultVerdictsMatchLocked(t *testing.T) {
 			// Locate the entry and inflate its stored value length past
 			// the allocation via a raw device write (contents corruption;
 			// allocator and protection metadata stay intact).
-			sh := s.shardFor(hashKey(key))
-			entry := sh.root.Load().head(hashKey(key) % sh.root.Load().nbuckets)
+			k := s.slotOf(key)
+			sh := &s.shards[k.shard]
+			entry := sh.root.Load().head(k.bucket(sh.root.Load().nbuckets))
 			if entry.IsNull() {
 				t.Fatal("victim entry not found")
 			}

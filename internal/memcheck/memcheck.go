@@ -191,6 +191,9 @@ func (rt *Runtime) TxFree(tx *pmemobj.Tx, oid pmemobj.Oid) error {
 	return nil
 }
 
+// UsableSize implements hooks.Runtime.
+func (rt *Runtime) UsableSize(oid pmemobj.Oid) (uint64, error) { return rt.pool.UsableSize(oid) }
+
 // Direct implements hooks.Runtime.
 func (rt *Runtime) Direct(oid pmemobj.Oid) uint64 { return rt.pool.Direct(oid) }
 

@@ -404,17 +404,23 @@ func (h *heap) releaseBlock(p *Pool, r reservation) {
 	a.mu.Unlock()
 }
 
-// planFree prepares to free the published block at blk: a
-// forward-adjacent free block in the same arena is absorbed (off the
-// lists, merged into the span) and the whole span turns in-flux so
-// concurrent walks treat it as live until the redo publication
-// settles. Returns the merged span.
-func (h *heap) planFree(p *Pool, blk, size uint64) (merged uint64) {
+// planFree prepares to free the published block at blk: with merge
+// set, a forward-adjacent free block in the same arena is absorbed
+// (off the lists, merged into the span), and the whole span turns
+// in-flux so concurrent walks treat it as live until the redo
+// publication settles. Returns the merged span.
+//
+// The caller clears merge when its redo log will not fit the lane
+// (redoFits): the extension segments are reserved after this call,
+// and the absorbed neighbor can be the only free run left, such as
+// the tail of a one-arena heap or a run an unsplit compaction
+// stretched across arenas.
+func (h *heap) planFree(p *Pool, blk, size uint64, merge bool) (merged uint64) {
 	a := h.arenaOf(blk)
 	a.mu.Lock()
 	merged = size
 	next := blk + size
-	if next < h.hi && h.arenaOf(next) == a {
+	if merge && next < h.hi && h.arenaOf(next) == a {
 		if nsz, ok := a.freeSizeAt(p, next); ok {
 			a.removeFree(next, nsz)
 			merged += nsz
@@ -767,12 +773,13 @@ func (p *Pool) freeCommon(oid Oid, destOff *uint64) error {
 	lane := p.lanes.acquire()
 	defer p.lanes.release(lane)
 
-	size := p.dev.ReadU64(blk)
-	merged := p.heap.planFree(p, blk, size)
-	entries := []redoEntry{{blk, merged}, {blk + 8, blockFree}}
+	var dest []redoEntry
 	if destOff != nil {
-		entries = append(entries, p.destOidEntries(*destOff, OidNull)...)
+		dest = p.destOidEntries(*destOff, OidNull)
 	}
+	size := p.dev.ReadU64(blk)
+	merged := p.heap.planFree(p, blk, size, p.redoFits(2+len(dest)))
+	entries := append([]redoEntry{{blk, merged}, {blk + 8, blockFree}}, dest...)
 	if err := p.publishRedo(p.laneOff(lane), entries); err != nil {
 		p.heap.abortFree(blk, size, merged)
 		return err

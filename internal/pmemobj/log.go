@@ -84,6 +84,10 @@ func (p *Pool) prepareRedo(lane uint64, entries []redoEntry) ([]reservation, err
 	return exts, nil
 }
 
+// redoFits reports whether n redo entries fit the lane's redo log, so
+// that preparing them reserves no extension segment.
+func (p *Pool) redoFits(n int) bool { return n <= p.redoCap }
+
 // applyRedo replays a committed redo log in order and discards it.
 // Replay is idempotent: recovery can re-run it after a crash at any
 // point. Entry order guarantees SPP's invariant that the oid size

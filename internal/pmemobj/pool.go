@@ -506,6 +506,23 @@ func (p *Pool) validateOid(oid Oid) (uint64, error) {
 	return blk, nil
 }
 
+// UsableSize returns the payload capacity of the live allocation oid
+// names, read from its block header: at least the size it was
+// allocated with. Callers check persisted element counts against it
+// before trusting them. A null, foreign, freed or out-of-heap oid, or a
+// block header whose size does not fit the heap, is an error.
+func (p *Pool) UsableSize(oid Oid) (uint64, error) {
+	blk, err := p.validateOid(oid)
+	if err != nil {
+		return 0, err
+	}
+	size := p.dev.ReadU64(blk)
+	if size < minBlockSize || size > p.heapEnd-blk {
+		return 0, fmt.Errorf("%w: block at %#x has size %d", ErrCorruptPool, blk, size)
+	}
+	return size - blockHdrSize, nil
+}
+
 // ForEachAllocated walks the heap and calls fn with the payload offset
 // and payload size of every live allocation. Sanitizer baselines use
 // it to rebuild their volatile or shadow metadata after a restart. The

@@ -384,9 +384,10 @@ func (tx *Tx) Commit() error {
 	for _, r := range tx.allocs {
 		entries = append(entries, redoEntry{r.blk + 8, blockAllocated})
 	}
+	merge := p.redoFits(len(tx.allocs) + 2*len(tx.frees))
 	for _, blk := range tx.frees {
 		size := p.dev.ReadU64(blk)
-		merged := p.heap.planFree(p, blk, size)
+		merged := p.heap.planFree(p, blk, size, merge)
 		entries = append(entries, redoEntry{blk, merged}, redoEntry{blk + 8, blockFree})
 		freePlans = append(freePlans, mergedFree{blk, size, merged})
 	}

@@ -485,3 +485,47 @@ func TestConcurrentAtomicAllocFree(t *testing.T) {
 		t.Errorf("leaked %d objects", got.AllocatedObjects)
 	}
 }
+
+// TestTxCommitSpillingRedoKeepsFreeNeighbor: a commit whose redo log
+// spills into an extension segment frees the block next to the heap's
+// only free run. The extension is reserved after the free is planned,
+// so the plan must not absorb that run into the in-flux span.
+func TestTxCommitSpillingRedoKeepsFreeNeighbor(t *testing.T) {
+	p, _ := newTestPool(t, Config{Knobs: Knobs{NArenas: 1}})
+	n := p.redoCap // tx allocs; the free's two entries make the redo spill
+	early := make([]Oid, n)
+	for i := range early {
+		var err error
+		if early[i], err = p.Alloc(64); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The last block allocated: the rest of the heap is one free run
+	// right after it.
+	last, err := p.Alloc(64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, oid := range early {
+		if err := p.Free(oid); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The tx allocations reuse the freed blocks, leaving the tail run as
+	// the only free space when the commit plans its free of last.
+	tx := p.Begin()
+	for i := 0; i < n; i++ {
+		if _, err := tx.Alloc(64); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tx.Free(last); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatalf("Commit: %v", err)
+	}
+	if got := p.Stats().AllocatedObjects; got != uint64(n) {
+		t.Errorf("AllocatedObjects = %d, want %d", got, n)
+	}
+}

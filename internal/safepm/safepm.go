@@ -319,6 +319,23 @@ func (rt *Runtime) TxFree(tx *pmemobj.Tx, oid pmemobj.Oid) error {
 	return nil
 }
 
+// UsableSize implements hooks.Runtime: the user size recorded in the
+// left redzone header, once the padded block is known to hold it.
+func (rt *Runtime) UsableSize(oid pmemobj.Oid) (uint64, error) {
+	inner, userSize, err := rt.innerOid(oid)
+	if err != nil {
+		return 0, err
+	}
+	usable, err := rt.pool.UsableSize(inner)
+	if err != nil {
+		return 0, err
+	}
+	if userSize > usable || usable-userSize < 2*RedzoneSize {
+		return 0, fmt.Errorf("safepm: %v records %d bytes in a %d-byte block", oid, userSize, usable)
+	}
+	return userSize, nil
+}
+
 // Direct implements hooks.Runtime: plain addresses, no tags.
 func (rt *Runtime) Direct(oid pmemobj.Oid) uint64 { return rt.pool.Direct(oid) }
 
